@@ -23,6 +23,15 @@ std::unique_ptr<ThreadPool>& GlobalSlot() {
   return slot;
 }
 
+/// Guards GlobalSlot: the first Global() calls may race (e.g. the workers
+/// of a local pool each reaching the shared pool for the first time), and
+/// an unguarded lazy init lets one of them destroy the pool the other is
+/// already queueing into.
+std::mutex& GlobalMutex() {
+  static std::mutex& mu = *new std::mutex();
+  return mu;
+}
+
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads)
@@ -143,15 +152,20 @@ void ThreadPool::Submit(std::function<void()> task) {
 }
 
 ThreadPool* ThreadPool::Global() {
+  std::lock_guard<std::mutex> lock(GlobalMutex());
   auto& slot = GlobalSlot();
   if (slot == nullptr) slot = std::make_unique<ThreadPool>(DefaultThreads());
   return slot.get();
 }
 
 void ThreadPool::SetGlobalThreads(int num_threads) {
-  auto& slot = GlobalSlot();
-  slot = std::make_unique<ThreadPool>(
+  auto pool = std::make_unique<ThreadPool>(
       num_threads <= 0 ? DefaultThreads() : num_threads);
+  {
+    std::lock_guard<std::mutex> lock(GlobalMutex());
+    GlobalSlot().swap(pool);
+  }
+  // The old pool joins its workers here, outside the lock.
 }
 
 }  // namespace locat::common

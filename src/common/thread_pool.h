@@ -60,7 +60,8 @@ class ThreadPool {
   /// blocked parents could deadlock.
   void Submit(std::function<void()> task);
 
-  /// The process-wide pool used by the BO hot path. Defaults to
+  /// The process-wide pool used by the BO hot path, created on first use
+  /// (safe from any thread). Defaults to
   /// `std::thread::hardware_concurrency()` threads; `SetGlobalThreads`
   /// rebuilds it (not thread-safe against concurrent ParallelFor — call it
   /// from the main thread between tuning passes, e.g. when parsing

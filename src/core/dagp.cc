@@ -70,13 +70,16 @@ Status Dagp::FullRefit(const std::vector<size_t>* idx, Rng* rng) {
     x.SetRow(i, x_[r]);
     y[i] = y_[r];
   }
-  model_ = ml::EiMcmc(options_.ei);
-  const Status status = model_.Fit(x, y, rng);
+  // Warm after the first fit: the model continues its own retained
+  // samples. Clear() (and so the IICP rebuild) resets it to a cold fit.
+  const Status status = model_.Refit(x, y, rng);
   if (status.ok()) {
     const ml::EiMcmc::FitStats& stats = model_.last_fit_stats();
     span.Arg("n", static_cast<double>(rows));
     span.Arg("dim", static_cast<double>(dim));
     span.Arg("ensemble", stats.ensemble_size);
+    span.Arg("warm", stats.warm ? 1.0 : 0.0);
+    span.Arg("chains", stats.chains);
     span.Arg("density_evals",
              static_cast<double>(stats.sampler.density_evals));
     if (refits_counter_ != nullptr) refits_counter_->Increment();

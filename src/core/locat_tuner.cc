@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 
+#include "math/kern/kern.h"
 #include "ml/lhs.h"
 
 namespace locat::core {
@@ -290,11 +291,14 @@ LocatTuner::Proposal LocatTuner::ProposeNext(TuningSession* session,
     math::Vector valid_unit = space.ToUnit(conf);
     // Skip near-duplicates of past observations: re-running an evaluated
     // configuration wastes a cluster run and starves QCSA/IICP of sample
-    // diversity.
+    // diversity. SquaredDistance is bitwise Dot of the difference with
+    // itself (what Vector::Norm computes), without allocating it.
     bool duplicate = false;
     for (const auto& obs : observations_) {
       if (obs.datasize_gb == datasize_gb &&
-          (obs.unit - valid_unit).Norm() < 0.05) {
+          std::sqrt(math::kern::SquaredDistance(obs.unit.data().data(),
+                                                valid_unit.data().data(),
+                                                valid_unit.size())) < 0.05) {
         duplicate = true;
         break;
       }

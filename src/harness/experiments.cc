@@ -22,7 +22,7 @@
 namespace locat::harness {
 namespace {
 
-constexpr const char* kCacheVersion = "v3";
+constexpr const char* kCacheVersion = "v4";
 
 uint64_t StableHash(const std::string& s) {
   uint64_t h = 1469598103934665603ULL;

@@ -1,5 +1,6 @@
 #include "ml/ei_mcmc.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -26,93 +27,132 @@ double EiMcmc::LogPrior(const GpHyperparams& hp) const {
   return lp;
 }
 
+EiMcmc::Chain EiMcmc::RunChain(const math::Matrix& x, const math::Vector& y,
+                               const math::Vector& initial, int n_samples,
+                               int burn_in, Rng* rng) const {
+  // The fast path evaluates the density through a kernel cache: pair
+  // squared-distances precomputed once, one exp per pair per proposal, and
+  // the factorization of every density evaluation memoized. The sampler's
+  // last evaluation of each sweep is at exactly the retained state, so the
+  // callback harvests that factorization and the ensemble member adopts it
+  // instead of refactoring. The cache's memo is not thread-safe, so every
+  // chain builds its own. The legacy path (benchmark baseline) rebuilds
+  // the kernel from raw hyperparameters per evaluation and refits every
+  // member sequentially from scratch.
+  std::optional<GpKernelCache> cache;
+  if (options_.fast_path) cache.emplace(x, y);
+  auto log_posterior = [&](const math::Vector& flat) {
+    const GpHyperparams hp = GpHyperparams::Unflatten(flat);
+    const double lml =
+        cache.has_value()
+            ? cache->LogMarginalLikelihood(hp)
+            : GaussianProcess::ComputeLogMarginalLikelihood(x, y, hp);
+    if (!std::isfinite(lml)) {
+      return -std::numeric_limits<double>::infinity();
+    }
+    return lml + LogPrior(hp);
+  };
+  SliceSampler::Options sopts;
+  sopts.width = 0.8;
+  SliceSampler sampler(log_posterior, sopts);
+
+  std::vector<std::optional<GpKernelCache::Factorization>> harvested;
+  SliceSampler::SampleCallback on_sample;
+  if (cache.has_value()) {
+    on_sample = [&](int /*index*/, const math::Vector& state) {
+      harvested.push_back(cache->TakeMemoized(state));
+    };
+  }
+  Chain chain;
+  chain.samples = sampler.Sample(initial, n_samples, burn_in, options_.thin,
+                                 rng, &chain.stats, on_sample);
+
+  // One slot per sample; fits read only `cache` and write their own slot
+  // and draw no random numbers, so the members are thread-count invariant.
+  chain.members.resize(chain.samples.size());
+  auto fit_member = [&](size_t i) {
+    const GpHyperparams hp = GpHyperparams::Unflatten(chain.samples[i]);
+    GaussianProcess gp;
+    const Status s =
+        !cache.has_value()       ? gp.Fit(x, y, hp)
+        : harvested[i].has_value() ? gp.AdoptFit(*cache, hp,
+                                                 std::move(*harvested[i]))
+                                   : gp.Fit(*cache, hp);
+    if (s.ok()) chain.members[i].emplace(std::move(gp));
+  };
+  if (cache.has_value()) {
+    common::ThreadPool::Global()->ParallelForEach(chain.samples.size(),
+                                                  fit_member);
+  } else {
+    for (size_t i = 0; i < chain.samples.size(); ++i) fit_member(i);
+  }
+  return chain;
+}
+
 Status EiMcmc::Fit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
   if (x.rows() < 2 || x.rows() != y.size()) {
     return Status::InvalidArgument("EiMcmc::Fit needs >= 2 matching samples");
   }
   const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<Chain> chains;
+  chains.push_back(RunChain(x, y, GpHyperparams::Default(x.cols()).Flatten(),
+                            options_.num_hyper_samples, options_.burn_in,
+                            rng));
+  return Install(x, y, std::move(chains), /*warm=*/false, wall_start);
+}
+
+Status EiMcmc::Refit(const math::Matrix& x, const math::Vector& y, Rng* rng) {
+  // A flattened sample holds x.cols() lengthscales, signal and noise.
+  const size_t ns = samples_.size();
+  if (ns == 0 || samples_.front().size() != x.cols() + 2) {
+    return Fit(x, y, rng);
+  }
+  if (x.rows() < 2 || x.rows() != y.size()) {
+    return Status::InvalidArgument(
+        "EiMcmc::Refit needs >= 2 matching samples");
+  }
+  const auto wall_start = std::chrono::steady_clock::now();
+  const size_t total =
+      static_cast<size_t>(std::max(options_.num_hyper_samples, 0));
+  const size_t chains = std::clamp<size_t>(total, 1, kWarmChains);
+  // The chain Rngs are forked here, on the calling thread; a chain's start
+  // and share depend only on its index.
+  Rng streams(rng->NextUint64());
+  std::vector<Rng> rngs;
+  for (size_t c = 0; c < chains; ++c) rngs.push_back(streams.Fork());
+  std::vector<Chain> runs(chains);
+  common::ThreadPool::Global()->ParallelForEach(chains, [&](size_t c) {
+    const size_t share = total / chains + (c < total % chains ? 1 : 0);
+    const math::Vector& start = samples_[ns - 1 - c * ns / chains];
+    runs[c] = RunChain(x, y, start, static_cast<int>(share), kWarmBurnIn,
+                       &rngs[c]);
+  });
+  return Install(x, y, std::move(runs), /*warm=*/true, wall_start);
+}
+
+Status EiMcmc::Install(const math::Matrix& x, const math::Vector& y,
+                       std::vector<Chain> chains, bool warm,
+                       std::chrono::steady_clock::time_point wall_start) {
   last_fit_stats_ = FitStats();
+  last_fit_stats_.warm = warm;
+  last_fit_stats_.chains = static_cast<int>(chains.size());
   best_observed_ = math::Min(y.data());
-
-  const size_t dim = x.cols();
-  SliceSampler::Options sopts;
-  sopts.width = 0.8;
-  const math::Vector initial = GpHyperparams::Default(dim).Flatten();
-
+  samples_.clear();
   ensemble_.clear();
-  if (options_.fast_path) {
-    // Kernel-cached density: pair squared-distances precomputed once, one
-    // exp per pair per proposal, and the factorization of every density
-    // evaluation memoized. The sampler's last evaluation of each sweep is
-    // at exactly the retained state, so the callback harvests that
-    // factorization and the ensemble member adopts it instead of
-    // refactoring.
-    GpKernelCache cache(x, y);
-    auto log_posterior = [&](const math::Vector& flat) {
-      const GpHyperparams hp = GpHyperparams::Unflatten(flat);
-      const double lml = cache.LogMarginalLikelihood(hp);
-      if (!std::isfinite(lml)) {
-        return -std::numeric_limits<double>::infinity();
+  for (Chain& chain : chains) {
+    last_fit_stats_.sampler += chain.stats;
+    for (size_t i = 0; i < chain.samples.size(); ++i) {
+      samples_.push_back(std::move(chain.samples[i]));
+      if (chain.members[i].has_value()) {
+        ensemble_.push_back(std::move(*chain.members[i]));
       }
-      return lml + LogPrior(hp);
-    };
-    SliceSampler sampler(log_posterior, sopts);
-
-    std::vector<std::optional<GpKernelCache::Factorization>> harvested;
-    auto on_sample = [&](int /*index*/, const math::Vector& state) {
-      harvested.push_back(cache.TakeMemoized(state));
-    };
-    const std::vector<math::Vector> samples = sampler.Sample(
-        initial, options_.num_hyper_samples, options_.burn_in, options_.thin,
-        rng, &last_fit_stats_.sampler, on_sample);
-
-    // Fit the members concurrently, one slot per sample, then assemble in
-    // sample order — results are independent of the thread count. Workers
-    // only read `cache` and write their own slot; no RNG is touched.
-    std::vector<std::optional<GaussianProcess>> slots(samples.size());
-    common::ThreadPool::Global()->ParallelForEach(
-        samples.size(), [&](size_t i) {
-          const GpHyperparams hp = GpHyperparams::Unflatten(samples[i]);
-          GaussianProcess gp;
-          const Status s =
-              harvested[i].has_value()
-                  ? gp.AdoptFit(cache, hp, std::move(*harvested[i]))
-                  : gp.Fit(cache, hp);
-          if (s.ok()) slots[i].emplace(std::move(gp));
-        });
-    ensemble_.reserve(samples.size());
-    for (auto& slot : slots) {
-      if (slot.has_value()) ensemble_.push_back(std::move(*slot));
-    }
-  } else {
-    // Sequential baseline: every density evaluation rebuilds the kernel
-    // from raw hyperparameters and every ensemble member refits from
-    // scratch.
-    auto log_posterior = [&](const math::Vector& flat) {
-      const GpHyperparams hp = GpHyperparams::Unflatten(flat);
-      const double lml =
-          GaussianProcess::ComputeLogMarginalLikelihood(x, y, hp);
-      if (!std::isfinite(lml)) {
-        return -std::numeric_limits<double>::infinity();
-      }
-      return lml + LogPrior(hp);
-    };
-    SliceSampler sampler(log_posterior, sopts);
-    const std::vector<math::Vector> samples = sampler.Sample(
-        initial, options_.num_hyper_samples, options_.burn_in, options_.thin,
-        rng, &last_fit_stats_.sampler);
-    ensemble_.reserve(samples.size());
-    for (const auto& flat : samples) {
-      GaussianProcess gp;
-      Status s = gp.Fit(x, y, GpHyperparams::Unflatten(flat));
-      if (s.ok()) ensemble_.push_back(std::move(gp));
     }
   }
   if (ensemble_.empty()) {
     // Fall back to the default hyperparameters so callers always get a
     // usable surrogate.
     GaussianProcess gp;
-    LOCAT_RETURN_IF_ERROR(gp.Fit(x, y, GpHyperparams::Default(dim)));
+    LOCAT_RETURN_IF_ERROR(gp.Fit(x, y, GpHyperparams::Default(x.cols())));
     ensemble_.push_back(std::move(gp));
     last_fit_stats_.used_fallback = true;
   }

@@ -1,6 +1,8 @@
 #ifndef LOCAT_ML_EI_MCMC_H_
 #define LOCAT_ML_EI_MCMC_H_
 
+#include <chrono>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -24,6 +26,11 @@ enum class AcquisitionKind { kExpectedImprovement, kProbabilityOfImprovement, kU
 /// candidate is the EI for minimization averaged over those GPs, which
 /// integrates out hyperparameter uncertainty and removes the need for any
 /// external hyperparameter tuning.
+///
+/// `Refit` is the BO-loop entry point: once the model holds posterior
+/// samples, the next refit continues from them (as Spearmint carries its
+/// hyperparameter samples from one BO iteration to the next) with a few
+/// short chains in parallel instead of re-burning-in one long chain.
 class EiMcmc {
  public:
   struct Options {
@@ -67,14 +74,41 @@ class EiMcmc {
     /// True when every posterior sample failed to produce a usable GP and
     /// the default-hyperparameter fallback was used.
     bool used_fallback = false;
+    /// True when the fit continued the previous fit's samples (a warm
+    /// Refit) rather than starting from the default hyperparameters.
+    bool warm = false;
+    /// Slice-sampling chains the fit ran: 1 for a cold fit.
+    int chains = 0;
+    /// Sampler counters summed over the chains in chain order.
     SliceSampler::Stats sampler;
   };
 
+  /// Chains a warm Refit runs. A constant, not the pool size, so the
+  /// samples drawn are the same for any thread count.
+  static constexpr int kWarmChains = 4;
+  /// Burn-in sweeps of each warm chain: its start is already a posterior
+  /// sample for the previous fit's data, in a BO loop the same data less
+  /// the newest observation.
+  static constexpr int kWarmBurnIn = 2;
+
   explicit EiMcmc(Options options = Options()) : options_(options) {}
 
-  /// Fits the hyperparameter-marginalized model to (x, y). `x` is n x d
-  /// with n >= 2. Deterministic given `rng`'s state.
+  /// Fits the hyperparameter-marginalized model to (x, y) from scratch:
+  /// one chain from the default hyperparameters with the full burn-in.
+  /// `x` is n x d with n >= 2. Deterministic given `rng`'s state.
   Status Fit(const math::Matrix& x, const math::Vector& y, Rng* rng);
+
+  /// Refits to (x, y), warm when the model holds retained samples of
+  /// dimension x.cols(): kWarmChains chains run concurrently on the shared
+  /// thread pool; chain c starts from retained sample
+  /// ns-1-floor(c*ns/chains), burns in kWarmBurnIn sweeps and draws its
+  /// share of num_hyper_samples (the first chains take the remainder).
+  /// Each chain has its own kernel cache and its own Rng, forked from one
+  /// NextUint64() draw of `rng` — the only draw a warm refit takes from
+  /// it. Samples and members are assembled in chain order, so the result
+  /// is bit-identical for any thread count. Without such samples this is
+  /// exactly Fit.
+  Status Refit(const math::Matrix& x, const math::Vector& y, Rng* rng);
 
   /// Extends a fitted model by one observation in O(n^2) per ensemble
   /// member (rank-1 bordered Cholesky append; hyperparameters stay frozen
@@ -119,9 +153,34 @@ class EiMcmc {
   const FitStats& last_fit_stats() const { return last_fit_stats_; }
 
  private:
+  /// One slice-sampling chain's output: its retained states, one member
+  /// slot per state (empty where the GP could not be fitted) and its
+  /// sampler counters.
+  struct Chain {
+    std::vector<math::Vector> samples;
+    std::vector<std::optional<GaussianProcess>> members;
+    SliceSampler::Stats stats;
+  };
+
   double LogPrior(const GpHyperparams& hp) const;
 
+  /// Runs one chain on (x, y) from `initial`: `burn_in` sweeps, then
+  /// `n_samples` retained states `thin` sweeps apart, then fits their
+  /// members. Reads only its arguments and options_, so chains on
+  /// distinct Rngs may run concurrently.
+  Chain RunChain(const math::Matrix& x, const math::Vector& y,
+                 const math::Vector& initial, int n_samples, int burn_in,
+                 Rng* rng) const;
+
+  /// Installs `chains` (in order) as the fitted model and records stats.
+  Status Install(const math::Matrix& x, const math::Vector& y,
+                 std::vector<Chain> chains, bool warm,
+                 std::chrono::steady_clock::time_point wall_start);
+
   Options options_;
+  /// Retained hyperparameter samples (flattened) of the last fit, in
+  /// chain order; the starts of the next warm Refit.
+  std::vector<math::Vector> samples_;
   std::vector<GaussianProcess> ensemble_;
   double best_observed_ = 0.0;
   FitStats last_fit_stats_;

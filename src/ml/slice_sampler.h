@@ -40,6 +40,15 @@ class SliceSampler {
     int64_t shrinks = 0;        // coordinate proposals rejected (shrunk)
     int64_t stuck = 0;          // coordinates kept after max_shrink
 
+    Stats& operator+=(const Stats& other) {
+      density_evals += other.density_evals;
+      step_outs += other.step_outs;
+      accepted += other.accepted;
+      shrinks += other.shrinks;
+      stuck += other.stuck;
+      return *this;
+    }
+
     /// Fraction of shrink-loop proposals that landed inside the slice.
     double acceptance_rate() const {
       const int64_t proposals = accepted + shrinks + stuck;

@@ -86,6 +86,38 @@ TEST(KernBackendEquality, DotSumSqDist) {
   }
 }
 
+TEST(KernBackendEquality, SquaredDistanceIsDotOfDifference) {
+  // LocatTuner's near-duplicate check takes sqrt(SquaredDistance(a, b))
+  // in place of (a - b).Norm() = sqrt(Dot(a - b, a - b)); the two must be
+  // the same bits on every backend so no duplicate decision changes.
+  Rng rng(58);
+  const Backend entry = ActiveBackend();
+  for (const Backend backend :
+       {Backend::kScalar, Backend::kAvx2, Backend::kNeon}) {
+    if (!BackendAvailable(backend)) continue;
+    SetBackend(backend);
+    for (size_t n : kSizes) {
+      for (int rep = 0; rep < 8; ++rep) {
+        Vector a(n), b(n);
+        for (size_t i = 0; i < n; ++i) {
+          a[i] = rng.NextDouble();
+          // Some near neighbours, as the duplicate check sees them.
+          b[i] = rep % 2 == 0 ? rng.NextDouble()
+                              : a[i] + 0.01 * rng.NextGaussian();
+        }
+        const Vector diff = a - b;
+        const double sq =
+            SquaredDistance(a.data().data(), b.data().data(), n);
+        EXPECT_SAME_BITS(Dot(diff.data().data(), diff.data().data(), n), sq)
+            << BackendName(backend) << " n=" << n;
+        EXPECT_SAME_BITS(diff.Norm(), std::sqrt(sq))
+            << BackendName(backend) << " n=" << n;
+      }
+    }
+  }
+  SetBackend(entry);
+}
+
 TEST(KernBackendEquality, RowBatchesMatchSingleCalls) {
   Rng rng(7);
   const size_t dim = 13, nrows = 9, stride = 17;

@@ -124,6 +124,21 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   }
 }
 
+TEST(ThreadPoolTest, GlobalFirstUseFromConcurrentWorkers) {
+  // The harness's ExperimentRunner reaches the shared pool from the
+  // workers of its own pool. Run as its own process (as ctest does), this
+  // is the first Global() call, and every worker must get the same pool.
+  ThreadPool local(4);
+  std::vector<ThreadPool*> seen(8, nullptr);
+  std::atomic<int> count{0};
+  local.ParallelForEach(seen.size(), [&](size_t i) {
+    seen[i] = ThreadPool::Global();
+    seen[i]->ParallelForEach(5, [&](size_t) { count.fetch_add(1); });
+  });
+  for (ThreadPool* p : seen) EXPECT_EQ(p, ThreadPool::Global());
+  EXPECT_EQ(count.load(), 40);
+}
+
 TEST(ThreadPoolTest, GlobalPoolIsRebuildable) {
   ThreadPool* before = ThreadPool::Global();
   ASSERT_NE(before, nullptr);
