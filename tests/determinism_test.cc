@@ -3,6 +3,9 @@
 // exactly reproducible.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/tuning.h"
 #include "harness/experiments.h"
 #include "sparksim/simulator.h"
@@ -36,8 +39,11 @@ INSTANTIATE_TEST_SUITE_P(AllTuners, TunerDeterminismTest,
                                            "GBO-RL", "QTune", "LOCAT",
                                            "DAC+QIT"));
 
+// The cluster name is a std::string, not a const char*: gtest prints a
+// pointer inside a tuple by address, which would put an ASLR-dependent
+// value into the test name.
 class SimulatorClusterDsTest
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(SimulatorClusterDsTest, AppRunInvariantsHold) {
   const auto [cluster_name, ds] = GetParam();
@@ -68,8 +74,9 @@ TEST_P(SimulatorClusterDsTest, AppRunInvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SimulatorClusterDsTest,
-    ::testing::Combine(::testing::Values("arm", "x86"),
-                       ::testing::Values(100.0, 300.0, 500.0, 1000.0)));
+    ::testing::Combine(
+        ::testing::Values(std::string("arm"), std::string("x86")),
+        ::testing::Values(100.0, 300.0, 500.0, 1000.0)));
 
 }  // namespace
 }  // namespace locat
